@@ -1,7 +1,8 @@
 // Steady-state execution-plan throughput: the compiled zero-allocation path
 // (Model::Compile + plan-backed ForwardBatch / BackwardInputBatch /
 // BackwardSample) against the allocating by-value API, on one conv-heavy
-// model (MNI_C1) and one dense-heavy model (PDF_C1). Ops: "forward",
+// model (MNI_C1), one dense-heavy model (PDF_C1) and the residual MiniResNet
+// (IMG_C3, untrained weights). Ops: "forward",
 // "forward+backward", and "backward" (gradient sweep alone over warm
 // activations — the gradient-ascent inner-loop shape).
 //
@@ -181,7 +182,7 @@ std::string ToJson(const std::vector<Row>& rows) {
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"plan_steady_state\",\n"
-      << "  \"models\": [\"MNI_C1\", \"PDF_C1\"],\n"
+      << "  \"models\": [\"MNI_C1\", \"PDF_C1\", \"IMG_C3\"],\n"
       << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   bool plan_wins = true;
-  for (const char* name : {"MNI_C1", "PDF_C1"}) {
+  for (const char* name : {"MNI_C1", "PDF_C1", "IMG_C3"}) {
     const Model model = ModelZoo::Build(name, 7);
     for (const Op op : {Op::kForward, Op::kForwardBackward, Op::kBackward}) {
       for (const int batch : {1, 8}) {

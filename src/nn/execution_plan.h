@@ -12,7 +12,7 @@
 //     batched and per-sample final input-gradient buffers,
 //   * per-layer seed buffers for objective gradients, and
 //   * a Workspace arena (src/tensor/workspace.h) for layer-kernel scratch
-//     (dense transpose, activation-grad intermediates, residual recompute).
+//     (dense transpose, im2col columns, activation-grad intermediates).
 //
 // After the plan has executed once at a given width ("warm-up"), every
 // subsequent ForwardBatch / BackwardSample / SampleTrace call performs ZERO

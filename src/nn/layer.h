@@ -1,11 +1,12 @@
 // Layer: the building block of sequential models.
 //
 // Layers are stateless with respect to execution: Forward takes an input and
-// returns an output (plus an optional auxiliary tensor such as a dropout mask
-// or pooling argmax map), and Backward recomputes gradients from the recorded
-// (input, output, aux) triple. This design makes reverse-mode differentiation
-// from *any* internal layer straightforward — which is exactly what
-// DeepXplore's neuron-coverage objective needs.
+// returns an output (plus an optional auxiliary tensor such as a dropout mask,
+// a pooling argmax map, or a residual block's conv1 activation), and Backward
+// recomputes gradients from the recorded (input, output, aux) triple. This
+// design makes reverse-mode differentiation from *any* internal layer
+// straightforward — which is exactly what DeepXplore's neuron-coverage
+// objective needs.
 //
 // Coverage neurons: following the DeepXplore reference implementation, a
 // "neuron" is one output unit of a Dense layer or one output channel of a

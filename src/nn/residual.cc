@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/workspace.h"
@@ -45,37 +46,59 @@ Shape ResidualBlock::OutputShape(const Shape& input_shape) const {
   return main_shape;
 }
 
+namespace {
+
+// Both backwards read conv1's post-ReLU activation from `aux`; it has the
+// block output's shape (conv2 is 3x3 stride-1 pad-1 with out_channels
+// filters), so its element count must equal the output's.
+void CheckAux(const Tensor& aux, const Tensor& output, const char* who) {
+  if (aux.numel() != output.numel()) {
+    throw std::invalid_argument(std::string(who) + ": aux must hold conv1's activation (" +
+                                std::to_string(output.numel()) + " floats), got " +
+                                std::to_string(aux.numel()));
+  }
+}
+
+}  // namespace
+
 Tensor ResidualBlock::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*/,
-                              Tensor* /*aux*/) const {
-  const Tensor y1 = conv1_.Forward(input, false, nullptr, nullptr);
+                              Tensor* aux) const {
+  Tensor y1 = conv1_.Forward(input, false, nullptr, nullptr);
   Tensor y2 = conv2_.Forward(y1, false, nullptr, nullptr);
   const Tensor skip =
       proj_ != nullptr ? proj_->Forward(input, false, nullptr, nullptr) : input;
   y2.AddInPlace(skip);
   ApplyActivation(Activation::kRelu, &y2);
+  if (aux != nullptr) {
+    *aux = std::move(y1);
+  }
   return y2;
 }
 
 Tensor ResidualBlock::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                                   Rng* /*rng*/, Tensor* /*aux*/) const {
-  const Tensor y1 = conv1_.ForwardBatch(input, batch, false, nullptr, nullptr);
+                                   Rng* /*rng*/, Tensor* aux) const {
+  Tensor y1 = conv1_.ForwardBatch(input, batch, false, nullptr, nullptr);
   Tensor y2 = conv2_.ForwardBatch(y1, batch, false, nullptr, nullptr);
   const Tensor skip =
       proj_ != nullptr ? proj_->ForwardBatch(input, batch, false, nullptr, nullptr) : input;
   y2.AddInPlace(skip);
   ApplyActivation(Activation::kRelu, &y2);
+  if (aux != nullptr) {
+    *aux = std::move(y1);
+  }
   return y2;
 }
 
 void ResidualBlock::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
-                                     Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
+                                     Rng* /*rng*/, Tensor* output, Tensor* aux,
                                      Workspace* ws) const {
-  // conv2 is 3x3 stride-1 pad-1 with out_channels filters, so conv1's output
-  // (y1) has exactly the block's output shape — borrow it instead of
-  // constructing a Shape (which would allocate on every hot-loop call).
-  Tensor* y1 = ws->Acquire(output->shape());
-  conv1_.ForwardBatchInto(input, batch, false, nullptr, y1, nullptr, ws);
-  conv2_.ForwardBatchInto(*y1, batch, false, nullptr, output, nullptr, ws);
+  // y1 (conv1's activation) has exactly the block's output shape — see
+  // CheckAux — and goes straight into the aux slab the backward reads.
+  if (aux->shape() != output->shape()) {  // Steady state: shapes match, no-op.
+    aux->ResizeInPlace(output->shape());
+  }
+  conv1_.ForwardBatchInto(input, batch, false, nullptr, aux, nullptr, ws);
+  conv2_.ForwardBatchInto(*aux, batch, false, nullptr, output, nullptr, ws);
   if (proj_ != nullptr) {
     Tensor* skip = ws->Acquire(output->shape());
     proj_->ForwardBatchInto(input, batch, false, nullptr, skip, nullptr, ws);
@@ -86,10 +109,14 @@ void ResidualBlock::ForwardBatchInto(const Tensor& input, int batch, bool /*trai
   ApplyActivation(Activation::kRelu, output);
 }
 
+// conv2 and the projection have no activation, so their backwards read
+// `output` for geometry only: the block output stands in for both (same
+// shape), and conv1's activation comes from `aux`.
 void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
                                       const Tensor& grad_output, const Tensor& aux,
                                       int batch, Tensor* grad_input, Workspace* ws,
                                       std::vector<Tensor>* param_grads) const {
+  CheckAux(aux, output, "ResidualBlock::BackwardBatchInto");
   if (param_grads != nullptr) {
     // Parameter gradients must accumulate in the per-sample order of the
     // inherited BackwardBatch (sample-major, not layer-major); the adapter
@@ -99,14 +126,6 @@ void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
                              param_grads);
     return;
   }
-  // Recompute the intermediates batched (same per-sample conv kernels as the
-  // scalar recompute, so gradients stay bit-identical). y1 shares the block
-  // output's shape — see ForwardBatchInto.
-  Tensor* y1 = ws->Acquire(output.shape());
-  conv1_.ForwardBatchInto(input, batch, false, nullptr, y1, nullptr, ws);
-  Tensor* y2 = ws->Acquire(output.shape());
-  conv2_.ForwardBatchInto(*y1, batch, false, nullptr, y2, nullptr, ws);
-
   // Through the output ReLU: relu'(out) in terms of the post-activation value.
   Tensor* g_sum = ws->Acquire(output.shape());
   std::copy(grad_output.data(), grad_output.data() + grad_output.numel(), g_sum->data());
@@ -114,16 +133,14 @@ void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
 
   // Main path.
   Tensor* g_y1 = ws->Acquire(output.shape());
-  conv2_.BackwardBatchInto(*y1, *y2, *g_sum, Tensor(), batch, g_y1, ws, nullptr);
-  conv1_.BackwardBatchInto(input, *y1, *g_y1, Tensor(), batch, grad_input, ws, nullptr);
+  conv2_.BackwardBatchInto(aux, output, *g_sum, Tensor(), batch, g_y1, ws, nullptr);
+  conv1_.BackwardBatchInto(input, aux, *g_y1, Tensor(), batch, grad_input, ws, nullptr);
 
   // Skip path (flat adds: grad_input may be per-sample-shaped).
   float* gi = grad_input->data();
   if (proj_ != nullptr) {
-    Tensor* skip = ws->Acquire(output.shape());
-    proj_->ForwardBatchInto(input, batch, false, nullptr, skip, nullptr, ws);
     Tensor* g_skip = ws->Acquire(input.shape());
-    proj_->BackwardBatchInto(input, *skip, *g_sum, Tensor(), batch, g_skip, ws, nullptr);
+    proj_->BackwardBatchInto(input, output, *g_sum, Tensor(), batch, g_skip, ws, nullptr);
     const float* gs = g_skip->data();
     for (int64_t i = 0; i < grad_input->numel(); ++i) {
       gi[i] += gs[i];
@@ -137,12 +154,9 @@ void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
 }
 
 Tensor ResidualBlock::Backward(const Tensor& input, const Tensor& output,
-                               const Tensor& grad_output, const Tensor& /*aux*/,
+                               const Tensor& grad_output, const Tensor& aux,
                                std::vector<Tensor>* param_grads) const {
-  // Recompute the intermediates (cheaper than widening the trace format).
-  const Tensor y1 = conv1_.Forward(input, false, nullptr, nullptr);
-  const Tensor y2 = conv2_.Forward(y1, false, nullptr, nullptr);
-
+  CheckAux(aux, output, "ResidualBlock::Backward");
   // Through the output ReLU: relu'(out) in terms of the post-activation value.
   Tensor g_sum = grad_output;
   ApplyActivationGrad(Activation::kRelu, output, &g_sum);
@@ -169,13 +183,12 @@ Tensor ResidualBlock::Backward(const Tensor& input, const Tensor& output,
   }
 
   // Main path.
-  const Tensor g_y1 = conv2_.Backward(y1, y2, g_sum, Tensor(), g_conv2);
-  Tensor g_in = conv1_.Backward(input, y1, g_y1, Tensor(), g_conv1);
+  const Tensor g_y1 = conv2_.Backward(aux, output, g_sum, Tensor(), g_conv2);
+  Tensor g_in = conv1_.Backward(input, aux, g_y1, Tensor(), g_conv1);
 
   // Skip path.
   if (proj_ != nullptr) {
-    const Tensor skip = proj_->Forward(input, false, nullptr, nullptr);
-    g_in.AddInPlace(proj_->Backward(input, skip, g_sum, Tensor(), g_proj));
+    g_in.AddInPlace(proj_->Backward(input, output, g_sum, Tensor(), g_proj));
   } else {
     g_in.AddInPlace(g_sum);
   }

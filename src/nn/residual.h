@@ -3,8 +3,9 @@
 // changes resolution or channel count.
 //
 // Implemented as a composite Layer so sequential Model can host ResNet-style
-// topologies. Intermediate activations are recomputed during Backward (one
-// extra forward per block) to keep the trace structure uniform.
+// topologies. Every forward records conv1's post-ReLU activation (shaped like
+// the block output) in `aux`; the backward reads it from there and never
+// re-runs a convolution forward.
 //
 // Coverage neurons: the block contributes its *output* channels (spatial
 // mean of the post-addition ReLU output).
@@ -33,14 +34,16 @@ class ResidualBlock : public Layer {
   Tensor Forward(const Tensor& input, bool training, Rng* rng, Tensor* aux) const override;
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
-  // Composes the sub-convolutions' batch kernels (the backward keeps the
-  // base per-sample loop: it recomputes intermediates either way).
+  // Composes the sub-convolutions' batch kernels; `*aux` receives the
+  // batched conv1 activation (the backward keeps the base per-sample loop).
   Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
                       Tensor* aux) const override;
-  // Zero-allocation variants: sub-convolution Into kernels with arena-backed
-  // intermediates. The input-grad-only backward (param_grads == nullptr)
-  // runs batched; with param grads it defers to the per-sample adapter so
-  // accumulation order matches BackwardBatch.
+  // Zero-allocation variants: sub-convolution Into kernels; conv1's
+  // activation goes into the caller's aux slab, other intermediates into
+  // the arena. The input-grad-only backward (param_grads == nullptr) runs
+  // batched; with param grads it defers to the per-sample adapter so
+  // accumulation order matches BackwardBatch. Both backwards throw
+  // std::invalid_argument when aux does not hold output.numel() floats.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

@@ -26,6 +26,7 @@
 #include "src/nn/flatten.h"
 #include "src/nn/model.h"
 #include "src/nn/pool2d.h"
+#include "src/nn/residual.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
 
@@ -112,6 +113,21 @@ Model MakeModel() {
   return m;
 }
 
+// Residual twin: a projection block and an identity block, so the plan's
+// residual aux slab and EnsureSample's aux copy run on the hot path.
+Model MakeResidualModel() {
+  Model m("residual_twin", {1, 8, 8});
+  Rng rng(4343);
+  m.Emplace<Conv2D>(1, 4, 3, 3, 1, 1, Activation::kRelu).InitParams(rng);
+  m.Emplace<ResidualBlock>(4, 8, 2).InitParams(rng);
+  m.Emplace<ResidualBlock>(8, 8, 1).InitParams(rng);
+  m.Emplace<Pool2D>(PoolMode::kMax, 2);
+  m.Emplace<Flatten>();
+  m.Emplace<Dense>(8 * 2 * 2, 4, Activation::kNone).InitParams(rng);
+  m.Emplace<SoftmaxLayer>();
+  return m;
+}
+
 std::vector<Tensor> MakeSeeds(const Model& model, int n) {
   Rng rng(99);
   std::vector<Tensor> seeds;
@@ -153,43 +169,46 @@ TaskSetup MakeSetup(const std::vector<Tensor>& seeds, const std::vector<Model*>&
 }
 
 TEST(AllocTest, ExecutorSteadyStateIsAllocationFree) {
-  Model a = MakeModel();
-  Model b = MakeModel();
-  std::vector<Model*> models = {&a, &b};
-  const LightingConstraint constraint;
-  EngineConfig engine;
-  engine.step = 10.0f / 255.0f;
-  engine.lambda2 = 0.1f;  // Coverage objective ON: PickUncovered runs hot.
-  const Executor executor(models, &constraint, /*regression=*/false, &engine);
-  const auto objective = MakeObjective("joint");
-  const std::vector<Tensor> seeds = MakeSeeds(a, 4);
+  for (Model (*make_model)() : {&MakeModel, &MakeResidualModel}) {
+    Model a = make_model();
+    Model b = make_model();
+    std::vector<Model*> models = {&a, &b};
+    const LightingConstraint constraint;
+    EngineConfig engine;
+    engine.step = 10.0f / 255.0f;
+    engine.lambda2 = 0.1f;  // Coverage objective ON: PickUncovered runs hot.
+    const Executor executor(models, &constraint, /*regression=*/false, &engine);
+    const auto objective = MakeObjective("joint");
+    const std::vector<Tensor> seeds = MakeSeeds(a, 4);
 
-  const auto measure = [&](int iterations) {
-    engine.max_iterations_per_seed = iterations;
-    TaskSetup setup = MakeSetup(seeds, models, engine.coverage);
-    g_allocs.store(0);
-    g_counting.store(true);
-    auto results = executor.Run(setup.tasks, *objective);
-    g_counting.store(false);
-    for (const auto& r : results) {
-      EXPECT_FALSE(r.has_value()) << "identical models must never disagree";
+    const auto measure = [&](int iterations) {
+      engine.max_iterations_per_seed = iterations;
+      TaskSetup setup = MakeSetup(seeds, models, engine.coverage);
+      g_allocs.store(0);
+      g_counting.store(true);
+      auto results = executor.Run(setup.tasks, *objective);
+      g_counting.store(false);
+      for (const auto& r : results) {
+        EXPECT_FALSE(r.has_value()) << a.name() << ": identical models must never disagree";
+      }
+      return g_allocs.load();
+    };
+
+    // Warm-up: compiles plans, fills the state pool and workspace arenas.
+    engine.max_iterations_per_seed = 2;
+    {
+      TaskSetup warm = MakeSetup(seeds, models, engine.coverage);
+      (void)executor.Run(warm.tasks, *objective);
     }
-    return g_allocs.load();
-  };
 
-  // Warm-up: compiles plans, fills the state pool and workspace arenas.
-  engine.max_iterations_per_seed = 2;
-  {
-    TaskSetup warm = MakeSetup(seeds, models, engine.coverage);
-    (void)executor.Run(warm.tasks, *objective);
+    const int64_t short_run = measure(3);
+    const int64_t long_run = measure(9);
+    // Identical counts <=> zero allocations per additional iteration. (The
+    // fixed per-Run cost — the results vector — is present in both.)
+    EXPECT_EQ(short_run, long_run)
+        << a.name() << " per-iteration allocations: " << (long_run - short_run)
+        << " over 6 iterations";
   }
-
-  const int64_t short_run = measure(3);
-  const int64_t long_run = measure(9);
-  // Identical counts <=> zero allocations per additional iteration. (The
-  // fixed per-Run cost — the results vector — is present in both.)
-  EXPECT_EQ(short_run, long_run)
-      << "per-iteration allocations: " << (long_run - short_run) << " over 6 iterations";
 }
 
 TEST(AllocTest, SessionGenerateFromSeedSteadyStateIsAllocationFree) {

@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/models/zoo.h"
 #include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
@@ -204,6 +206,61 @@ TEST(ExecutionPlanTest, BackwardSampleMatchesScalarBackward) {
         ExpectTensorsNear(got, want, kKernelBackwardTolerance,
                           model.name() + " pos " + std::to_string(pos) +
                               " from " + std::to_string(from));
+      }
+    }
+  }
+}
+
+// Per-sample backprop through the real MiniResNet must not depend on how
+// wide the forward was: a sample's gradient after a width-8 forward equals
+// the same sample forwarded alone (width 1) and among two other samples
+// (width 3), bit for bit. The residual blocks' backward reads conv1's
+// activation from the trace aux, so this pins the aux slice EnsureSample
+// copies out of the wide slab — from the last layer and from an internal
+// residual layer.
+TEST(ExecutionPlanTest, ResnetBackwardSampleBitIdenticalAcrossWidths) {
+  const Model model = ModelZoo::Build("IMG_C3", 19);
+  constexpr int kWidth = 8;
+  const Tensor input = RandomBatch(model, kWidth, 77);
+  const int64_t in_numel = NumElements(model.input_shape());
+  const auto gather = [&](const std::vector<int>& rows) {
+    Tensor out(BatchedShape(static_cast<int>(rows.size()), model.input_shape()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::copy(input.data() + rows[i] * in_numel, input.data() + (rows[i] + 1) * in_numel,
+                out.data() + static_cast<int64_t>(i) * in_numel);
+    }
+    return out;
+  };
+  ExecutionPlan wide = model.Compile(kWidth);
+  ExecutionPlan narrow = model.Compile(kWidth);
+  const int last = model.num_layers() - 1;
+  constexpr int kResidualLayer = 2;  // Identity block 16->16 at 16x16.
+  ASSERT_EQ(model.layer(kResidualLayer).Kind(), "residual");
+  for (const int from : {last, kResidualLayer}) {
+    for (int pos = 0; pos < kWidth; ++pos) {
+      Rng rng(500 + static_cast<uint64_t>(from * kWidth + pos));
+      const Tensor seed_values = Tensor::RandUniform(
+          model.layer_output_shape(from), rng, -1.0f, 1.0f);
+      const auto backward = [&](ExecutionPlan& plan, int at) {
+        Tensor& seed = plan.AcquireSeed(from);
+        std::copy(seed_values.data(), seed_values.data() + seed_values.numel(),
+                  seed.data());
+        return plan.BackwardSample(at, from, seed).values();
+      };
+      model.ForwardBatch(input, wide);
+      const std::vector<float> want = backward(wide, pos);
+      const int other1 = (pos + 3) % kWidth;
+      const int other2 = (pos + 5) % kWidth;
+      const std::vector<std::pair<Tensor, int>> narrow_runs = {
+          {gather({pos}), 0}, {gather({other1, pos, other2}), 1}};
+      for (const auto& [batch, at] : narrow_runs) {
+        model.ForwardBatch(batch, narrow);
+        const std::vector<float> got = backward(narrow, at);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "from " << from << " pos " << pos << " width "
+                                     << batch.dim(0) << " element " << i;
+        }
       }
     }
   }

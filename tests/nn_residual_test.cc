@@ -3,11 +3,17 @@
 // model — MiniResNet (IMG_C3) is built from these blocks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/nn/dense.h"
 #include "src/nn/flatten.h"
 #include "src/nn/model.h"
 #include "src/nn/residual.h"
 #include "src/nn/softmax_layer.h"
+#include "src/tensor/ops.h"
+#include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -187,6 +193,64 @@ INSTANTIATE_TEST_SUITE_P(Configs, ResidualGradTest,
                                            std::make_tuple(2, 4, 1),
                                            std::make_tuple(3, 3, 2),
                                            std::make_tuple(2, 4, 2)));
+
+TEST(ResidualBlockTest, ForwardRecordsConv1ActivationAsAux) {
+  Rng rng(5);
+  ResidualBlock block(2, 4, 2);
+  block.InitParams(rng);
+  const Tensor x = Tensor::RandUniform({2, 6, 6}, rng);
+  Tensor aux;
+  const Tensor y = block.Forward(x, false, nullptr, &aux);
+  EXPECT_EQ(aux.shape(), y.shape());
+  EXPECT_GE(aux.Min(), 0.0f);  // conv1 ends in ReLU.
+}
+
+TEST(ResidualBlockTest, BackwardRejectsMissingOrTruncatedAux) {
+  // Backward reads conv1's activation from aux and never recomputes it, so
+  // an aux that does not hold output.numel() floats is an error.
+  Rng rng(3);
+  for (const auto& [in_ch, out_ch, stride] :
+       {std::make_tuple(2, 2, 1), std::make_tuple(2, 4, 2)}) {
+    ResidualBlock block(in_ch, out_ch, stride);
+    block.InitParams(rng);
+    const int batch = 2;
+    const Tensor x = Tensor::RandUniform({batch, in_ch, 6, 6}, rng);
+    Tensor aux;
+    const Tensor y = block.ForwardBatch(x, batch, false, nullptr, &aux);
+    ASSERT_EQ(aux.numel(), y.numel());
+    const Tensor x0 = SliceSample(x, 0);
+    const Tensor y0 = SliceSample(y, 0);
+    const Tensor aux0 = SliceSample(aux, 0);
+    Tensor truncated0 = aux0;
+    truncated0.ResizeInPlace({static_cast<int>(aux0.numel()) - 1});
+    Tensor truncated = aux;
+    truncated.ResizeInPlace({static_cast<int>(aux.numel()) - 1});
+
+    EXPECT_THROW(block.Backward(x0, y0, y0, Tensor(), nullptr), std::invalid_argument);
+    EXPECT_THROW(block.Backward(x0, y0, y0, truncated0, nullptr), std::invalid_argument);
+    Workspace ws;
+    Tensor gi(x.shape());
+    std::vector<Tensor> grads;
+    for (const Tensor* p : block.Params()) {
+      grads.emplace_back(p->shape());
+    }
+    for (std::vector<Tensor>* pg : {static_cast<std::vector<Tensor>*>(nullptr), &grads}) {
+      EXPECT_THROW(block.BackwardBatchInto(x, y, y, Tensor(), batch, &gi, &ws, pg),
+                   std::invalid_argument);
+      EXPECT_THROW(block.BackwardBatchInto(x, y, y, truncated, batch, &gi, &ws, pg),
+                   std::invalid_argument);
+    }
+    try {
+      block.Backward(x0, y0, y0, Tensor(), nullptr);
+      ADD_FAILURE() << "empty aux accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ResidualBlock"), std::string::npos) << e.what();
+    }
+    // The recorded aux itself is accepted.
+    EXPECT_NO_THROW(block.Backward(x0, y0, y0, aux0, nullptr));
+    EXPECT_NO_THROW(block.BackwardBatchInto(x, y, y, aux, batch, &gi, &ws, nullptr));
+  }
+}
 
 TEST(ResidualBlockTest, NeuronInterfaceUsesOutputChannels) {
   ResidualBlock block(2, 4, 2);
