@@ -6,18 +6,27 @@
 // "forward+backward", and "backward" (gradient sweep alone over warm
 // activations — the gradient-ascent inner-loop shape).
 //
-// This is the bench behind the PR-4 refactor: once the plan is warm, an
-// iteration touches only pre-sized slabs and arena scratch — and since the
-// SIMD/GEMM kernel rewrite, the plan path also runs the im2col+GEMM kernels
-// while the by-value path stays on the scalar oracle. The two paths are
-// checked inline before timing under the same ULP/abs tolerances the test
-// suite uses (they accumulate in different orders, so bit-identity is not
-// the contract here).
+// Once the plan is warm, an iteration touches only pre-sized slabs and
+// arena scratch, and the plan path runs the SIMD GEMM / direct-convolution
+// kernels while the by-value path stays on the scalar oracle. The two paths
+// are checked inline before timing under the same ULP/abs tolerances the
+// test suite uses (they accumulate in different orders, so bit-identity is
+// not the contract here).
+//
+// A second table times the conv kernels alone: every distinct conv geometry
+// of the imagenet (IMG_C1..3, residual-block convs included) and mnist
+// (MNI_C1..3) trios, as one Conv2D's plan-path ForwardBatchInto and
+// input-only BackwardBatchInto at width 1 (the executor's per-sample
+// backward shape), in microseconds per sample: median and interquartile
+// range over max(5, --runs) repetitions, each at least ~2 ms of calls,
+// single-threaded (timed inside a pool region, the serial path an executor
+// worker takes).
 //
 // Emits a JSON record (stdout and <artifact dir>/plan_steady_state.json);
 // the checked-in baseline lives at bench/baselines/plan_steady_state.json.
 // The CI Release job runs this bench once as a smoke test so the plan path
 // cannot bit-rot in optimized builds.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -30,10 +39,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/execution_plan.h"
+#include "src/nn/residual.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -178,7 +191,133 @@ Row BenchOne(const Model& model, int batch, Op op, int reps) {
   return row;
 }
 
-std::string ToJson(const std::vector<Row>& rows) {
+// ---- Per-geometry conv kernel rows ----------------------------------------------
+
+struct ConvSpec {
+  int in_c, out_c, kh, kw, stride, pad, in_h, in_w;
+  bool operator==(const ConvSpec&) const = default;
+};
+
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+struct ConvRow {
+  ConvSpec spec;
+  std::string models;  // Every model of the two trios using this geometry.
+  Spread fwd_us;       // Per sample.
+  Spread bwd_us;
+};
+
+std::string GeometryName(const ConvSpec& c) {
+  std::ostringstream out;
+  out << c.in_c << "->" << c.out_c << " k" << c.kh << "x" << c.kw << " s" << c.stride
+      << " p" << c.pad << " in " << c.in_h << "x" << c.in_w;
+  return out.str();
+}
+
+// The conv layers of a model in execution order, with their input extents.
+// A ResidualBlock is conv1 (3x3, block stride, pad 1), conv2 (3x3, stride 1,
+// pad 1) and, when it has one, the projection (1x1, block stride, pad 0).
+std::vector<ConvSpec> ConvSpecs(const Model& model) {
+  std::vector<ConvSpec> specs;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    const Shape& in = l == 0 ? model.input_shape() : model.layer_output_shape(l - 1);
+    const Shape& out = model.layer_output_shape(l);
+    const Layer& layer = model.layer(l);
+    if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
+      specs.push_back({in[0], out[0], conv->kernel_h(), conv->kernel_w(), conv->stride(),
+                       conv->padding(), in[1], in[2]});
+    } else if (const auto* block = dynamic_cast<const ResidualBlock*>(&layer)) {
+      const int stride = in[1] / out[1];
+      specs.push_back({in[0], out[0], 3, 3, stride, 1, in[1], in[2]});
+      specs.push_back({out[0], out[0], 3, 3, 1, 1, out[1], out[2]});
+      if (block->has_projection()) {
+        specs.push_back({in[0], out[0], 1, 1, stride, 0, in[1], in[2]});
+      }
+    }
+  }
+  return specs;
+}
+
+// Median and quartiles of `repetitions` timings of fn, in microseconds per
+// call; each repetition runs enough calls to last ~2 ms.
+template <typename Fn>
+Spread TimeMicros(const Fn& fn, int repetitions) {
+  Timer probe;
+  fn();
+  const int calls = std::max(1, static_cast<int>(2e-3 / std::max(1e-7, probe.ElapsedSeconds())));
+  std::vector<double> us;
+  for (int r = 0; r < repetitions; ++r) {
+    Timer timer;
+    for (int i = 0; i < calls; ++i) {
+      fn();
+    }
+    us.push_back(timer.ElapsedSeconds() * 1e6 / calls);
+  }
+  std::sort(us.begin(), us.end());
+  const auto at = [&](double q) { return us[static_cast<size_t>(q * (us.size() - 1) + 0.5)]; };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+// Fills row->fwd_us and row->bwd_us for row->spec.
+void BenchConv(ConvRow* row, int repetitions) {
+  const ConvSpec& c = row->spec;
+  Rng rng(11);
+  Conv2D conv(c.in_c, c.out_c, c.kh, c.kw, c.stride, c.pad, Activation::kRelu);
+  conv.InitParams(rng);
+  const Shape out_shape = conv.OutputShape({c.in_c, c.in_h, c.in_w});
+  const Tensor input = Tensor::RandUniform({1, c.in_c, c.in_h, c.in_w}, rng, -1.0f, 1.0f);
+  const Tensor grad_out =
+      Tensor::RandUniform({1, out_shape[0], out_shape[1], out_shape[2]}, rng, -1.0f, 1.0f);
+  Tensor output(grad_out.shape());
+  Tensor grad_in(input.shape());
+  const Tensor no_aux;
+  Workspace ws;
+  row->fwd_us = TimeMicros(
+      [&] {
+        ws.Rewind();
+        conv.ForwardBatchInto(input, 1, false, nullptr, &output, nullptr, &ws);
+      },
+      repetitions);
+  row->bwd_us = TimeMicros(
+      [&] {
+        ws.Rewind();
+        conv.BackwardBatchInto(input, output, grad_out, no_aux, 1, &grad_in, &ws, nullptr);
+      },
+      repetitions);
+}
+
+std::vector<ConvRow> BenchConvKernels(int repetitions) {
+  std::vector<ConvRow> rows;
+  for (const char* name : {"IMG_C1", "IMG_C2", "IMG_C3", "MNI_C1", "MNI_C2", "MNI_C3"}) {
+    const Model model = ModelZoo::Build(name, 7);
+    for (const ConvSpec& spec : ConvSpecs(model)) {
+      const auto it = std::find_if(rows.begin(), rows.end(),
+                                   [&](const ConvRow& r) { return r.spec == spec; });
+      if (it == rows.end()) {
+        rows.push_back({spec, name, {}, {}});
+      } else if (it->models.find(name) == std::string::npos) {
+        it->models += std::string(",") + name;
+      }
+    }
+  }
+  // Serial, as inside an executor worker: nested kernel gates see
+  // InParallelRegion() (n == 2 because a 1-iteration loop runs inline).
+  ParallelFor(2, [&](int64_t idx) {
+    if (idx != 0) {
+      return;
+    }
+    for (ConvRow& row : rows) {
+      BenchConv(&row, repetitions);
+    }
+  });
+  return rows;
+}
+
+std::string ToJson(const std::vector<Row>& rows, const std::vector<ConvRow>& conv_rows) {
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"plan_steady_state\",\n"
@@ -192,6 +331,17 @@ std::string ToJson(const std::vector<Row>& rows) {
         << r.byvalue_sps << ", \"plan_samples_per_sec\": " << r.plan_sps
         << ", \"speedup\": " << r.speedup << "}" << (i + 1 < rows.size() ? "," : "")
         << "\n";
+  }
+  out << "  ],\n"
+      << "  \"conv_kernels\": [\n";
+  for (size_t i = 0; i < conv_rows.size(); ++i) {
+    const ConvRow& r = conv_rows[i];
+    out << "    {\"geometry\": \"" << GeometryName(r.spec) << "\", \"models\": \""
+        << r.models << "\", \"fwd_us_per_sample\": " << r.fwd_us.median
+        << ", \"fwd_us_q1\": " << r.fwd_us.q1 << ", \"fwd_us_q3\": " << r.fwd_us.q3
+        << ", \"bwd_us_per_sample\": " << r.bwd_us.median
+        << ", \"bwd_us_q1\": " << r.bwd_us.q1 << ", \"bwd_us_q3\": " << r.bwd_us.q3
+        << "}" << (i + 1 < conv_rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return out.str();
@@ -237,7 +387,21 @@ int main(int argc, char** argv) {
   }
   std::cout << table.ToString();
 
-  const std::string json = ToJson(rows);
+  const int repetitions = std::max(5, args.runs);
+  const std::vector<ConvRow> conv_rows = BenchConvKernels(repetitions);
+  TablePrinter conv_table({"Conv geometry", "Models", "Fwd us/sample", "Fwd IQR",
+                           "Bwd us/sample", "Bwd IQR"});
+  for (const ConvRow& r : conv_rows) {
+    conv_table.AddRow({GeometryName(r.spec), r.models, TablePrinter::Num(r.fwd_us.median, 2),
+                       TablePrinter::Num(r.fwd_us.q3 - r.fwd_us.q1, 2),
+                       TablePrinter::Num(r.bwd_us.median, 2),
+                       TablePrinter::Num(r.bwd_us.q3 - r.bwd_us.q1, 2)});
+  }
+  std::cout << "conv kernels, width 1, single thread, median of " << repetitions
+            << " repetitions:\n"
+            << conv_table.ToString();
+
+  const std::string json = ToJson(rows, conv_rows);
   std::cout << json;
   const std::string path = ArtifactDir() + "/plan_steady_state.json";
   std::ofstream file(path);

@@ -99,11 +99,6 @@ class Executor {
   std::vector<std::optional<GeneratedTest>> Run(const std::vector<SeedTask>& tasks,
                                                 const Objective& objective) const;
 
-  // Forwards every model over one stacked [B, ...] input batch (the
-  // allocating by-value building block, kept for profiling and benches; Run
-  // itself goes through pooled ExecutionPlans).
-  std::vector<BatchTrace> ForwardAll(const Tensor& batch_input) const;
-
   // Per-phase wall-time collection (off by default; ~no overhead when off).
   void EnableProfiling(bool enabled) { profiling_ = enabled; }
   bool profiling_enabled() const { return profiling_; }

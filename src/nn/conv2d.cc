@@ -21,17 +21,9 @@ int ConvOutExtent(int in, int kernel, int stride, int padding) {
   return padded / stride + 1;
 }
 
-// Per-sample geometry shared by the scalar and batched kernels.
-struct ConvGeom {
-  int in_channels, out_channels, kernel_h, kernel_w, stride, padding;
-  int in_h, in_w, out_h, out_w;
-  int64_t in_size() const { return static_cast<int64_t>(in_channels) * in_h * in_w; }
-  int64_t out_size() const { return static_cast<int64_t>(out_channels) * out_h * out_w; }
-};
-
 // The convolution proper for one sample (pre-activation). Both Forward and
 // ForwardBatch run exactly this code, so batching cannot change a result.
-void ConvForwardKernel(const ConvGeom& g, const float* px, const float* pw,
+void ConvForwardKernel(const ConvGeometry& g, const float* px, const float* pw,
                        const float* pb, float* py) {
   for (int oc = 0; oc < g.out_channels; ++oc) {
     float* out_plane = py + static_cast<size_t>(oc) * g.out_h * g.out_w;
@@ -74,7 +66,7 @@ void ConvForwardKernel(const ConvGeom& g, const float* px, const float* pw,
 }
 
 // Per-sample gradient kernel (post-activation grad already folded into pg).
-void ConvBackwardKernel(const ConvGeom& g, const float* px, const float* pw,
+void ConvBackwardKernel(const ConvGeometry& g, const float* px, const float* pw,
                         const float* pg, float* pgi, float* gw_base, float* gb) {
   for (int oc = 0; oc < g.out_channels; ++oc) {
     const float* g_plane = pg + static_cast<size_t>(oc) * g.out_h * g.out_w;
@@ -205,9 +197,9 @@ Shape Conv2D::OutputShape(const Shape& input_shape) const {
 Tensor Conv2D::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*/,
                        Tensor* /*aux*/) const {
   const Shape out_shape = OutputShape(input.shape());
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,    kernel_w_,
-                   stride_,      padding_,      input.dim(1), input.dim(2),
-                   out_shape[1], out_shape[2]};
+  const ConvGeometry g{in_channels_, out_channels_, kernel_h_,    kernel_w_,
+                       stride_,      padding_,      input.dim(1), input.dim(2),
+                       out_shape[1], out_shape[2]};
   Tensor out(out_shape);
   ConvForwardKernel(g, input.data(), weight_.data(), bias_.data(), out.data());
   ApplyActivation(act_, &out);
@@ -221,9 +213,9 @@ Tensor Conv2D::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
   }
   const Shape sample_shape = {input.dim(1), input.dim(2), input.dim(3)};
   const Shape out_shape = OutputShape(sample_shape);
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,    kernel_w_,
-                   stride_,      padding_,      input.dim(2), input.dim(3),
-                   out_shape[1], out_shape[2]};
+  const ConvGeometry g{in_channels_, out_channels_, kernel_h_,    kernel_w_,
+                       stride_,      padding_,      input.dim(2), input.dim(3),
+                       out_shape[1], out_shape[2]};
   Tensor out({batch, out_shape[0], out_shape[1], out_shape[2]});
   for (int b = 0; b < batch; ++b) {
     ConvForwardKernel(g, input.data() + static_cast<size_t>(b) * g.in_size(),
@@ -240,44 +232,32 @@ void Conv2D::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
   if (input.ndim() != 4 || input.dim(0) != batch || output->ndim() != 4) {
     throw std::invalid_argument("Conv2D::ForwardBatchInto: expected [B, C, H, W] tensors");
   }
+  if (ws == nullptr) {
+    throw std::invalid_argument("Conv2D::ForwardBatchInto: workspace required");
+  }
   // Geometry comes from the caller-sized tensors directly — constructing
   // Shape objects here would allocate on every hot-loop call.
-  const ConvGeom g{in_channels_,    out_channels_,   kernel_h_,    kernel_w_,
-                   stride_,         padding_,        input.dim(2), input.dim(3),
-                   output->dim(2),  output->dim(3)};
-  if (ws == nullptr) {
-    // No arena for the im2col patch matrix (out-of-tree caller): run the
-    // scalar reference kernel rather than allocate in what may be a hot loop.
-    for (int b = 0; b < batch; ++b) {
-      ConvForwardKernel(g, input.data() + static_cast<size_t>(b) * g.in_size(),
-                        weight_.data(), bias_.data(),
-                        output->data() + static_cast<size_t>(b) * g.out_size());
-    }
-    ApplyActivation(act_, output);
-    return;
-  }
-  // im2col + GEMM: weights [OC, IC*KH*KW] are already the A matrix row-major;
-  // each sample's patches unpack into B = [IC*KH*KW, OH*OW] in the arena.
-  // The GEMM contract (ascending-k FMA per element, partitioning only over
-  // rows/samples) keeps results invariant to batch width, SIMD width, and
-  // thread count; they differ from the scalar oracle only by accumulation
-  // order, within test tolerances.
-  const int64_t patch_k = static_cast<int64_t>(g.in_channels) * g.kernel_h * g.kernel_w;
-  const int64_t patch_n = static_cast<int64_t>(g.out_h) * g.out_w;
-  float* col = ws->AcquireFlat(patch_k * patch_n * batch)->data();
+  const ConvGeometry g{in_channels_,   out_channels_,  kernel_h_,    kernel_w_,
+                       stride_,        padding_,       input.dim(2), input.dim(3),
+                       output->dim(2), output->dim(3)};
+  // Implicit GEMM: each sample is copied once into a zero-padded,
+  // stride-phase-split arena buffer (or read in place when unpadded at
+  // stride 1) and the weights [OC, IC*KH*KW] run the GEMM register blocking
+  // straight over it — no patch matrix. Every output is the bias plus one
+  // ascending-(c, ky, kx) FMA chain, bit-identical to im2col + GemmBias, so
+  // results are invariant to batch width, SIMD width, and thread count; they
+  // differ from the scalar oracle only by accumulation order, within test
+  // tolerances.
+  const int64_t scratch_size = ConvScratchSize(g);
+  float* scratch = ws->AcquireFlat(scratch_size * batch)->data();
   const auto run_sample = [&](int64_t b) {
-    float* col_b = col + static_cast<size_t>(b) * patch_k * patch_n;
-    Im2Col(input.data() + static_cast<size_t>(b) * g.in_size(), g.in_channels, g.in_h,
-           g.in_w, g.kernel_h, g.kernel_w, g.stride, g.padding, g.out_h, g.out_w, col_b);
-    GemmBias(g.out_channels, static_cast<int>(patch_n), static_cast<int>(patch_k),
-             weight_.data(), static_cast<int>(patch_k), col_b, static_cast<int>(patch_n),
-             bias_.data(), output->data() + static_cast<size_t>(b) * g.out_size(),
-             static_cast<int>(patch_n));
+    ConvForward(g, input.data() + static_cast<size_t>(b) * g.in_size(), weight_.data(),
+                bias_.data(), scratch + b * scratch_size,
+                output->data() + static_cast<size_t>(b) * g.out_size());
   };
-  const int64_t work_per_sample = static_cast<int64_t>(g.out_channels) * patch_k * patch_n;
-  if (batch > 1 && work_per_sample * batch >= (int64_t{1} << 20) &&
+  if (batch > 1 && g.out_size() * g.patch_k() * batch >= (int64_t{1} << 20) &&
       IntraOpParallelismAvailable()) {
-    // Samples are independent; nested GemmBias calls see InParallelRegion()
+    // Samples are independent; nested ConvForward calls see InParallelRegion()
     // and stay serial, so parallelism never exceeds the pool size.
     ParallelFor(batch, run_sample);
   } else {
@@ -292,9 +272,9 @@ Tensor Conv2D::Backward(const Tensor& input, const Tensor& output, const Tensor&
                         const Tensor& /*aux*/, std::vector<Tensor>* param_grads) const {
   Tensor grad_pre = grad_output;
   ApplyActivationGrad(act_, output, &grad_pre);
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
-                   stride_,      padding_,      input.dim(1),  input.dim(2),
-                   output.dim(1), output.dim(2)};
+  const ConvGeometry g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
+                       stride_,      padding_,      input.dim(1),  input.dim(2),
+                       output.dim(1), output.dim(2)};
   Tensor grad_in(input.shape());
   CheckParamGrads(param_grads, "Conv2D::Backward");
   ConvBackwardKernel(g, input.data(), weight_.data(), grad_pre.data(), grad_in.data(),
@@ -307,9 +287,9 @@ Tensor Conv2D::BackwardBatch(const Tensor& input, const Tensor& output,
                              std::vector<Tensor>* param_grads) const {
   Tensor grad_pre = grad_output;  // [B, C, H, W]
   ApplyActivationGrad(act_, output, &grad_pre);
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
-                   stride_,      padding_,      input.dim(2),  input.dim(3),
-                   output.dim(2), output.dim(3)};
+  const ConvGeometry g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
+                       stride_,      padding_,      input.dim(2),  input.dim(3),
+                       output.dim(2), output.dim(3)};
   Tensor grad_in(input.shape());
   CheckParamGrads(param_grads, "Conv2D::BackwardBatch");
   for (int b = 0; b < batch; ++b) {
@@ -327,38 +307,40 @@ void Conv2D::BackwardBatchInto(const Tensor& input, const Tensor& output,
                                Tensor* grad_input, Workspace* ws,
                                std::vector<Tensor>* param_grads) const {
   CheckParamGrads(param_grads, "Conv2D::BackwardBatchInto");
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
-                   stride_,      padding_,      input.dim(2),  input.dim(3),
-                   output.dim(2), output.dim(3)};
+  const ConvGeometry g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
+                       stride_,      padding_,      input.dim(2),  input.dim(3),
+                       output.dim(2), output.dim(3)};
   Tensor* grad_pre = ws->Acquire(output.shape());
   std::copy(grad_output.data(), grad_output.data() + grad_output.numel(),
             grad_pre->data());
   ApplyActivationGrad(act_, output, grad_pre);
-  // Grad-input through the kernel layer, mirroring the forward im2col+GEMM:
-  // per sample, gcol = W^T · grad_pre (one ascending-oc FMA chain per patch
+  // Grad-input through the kernel layer: per sample, gcol = W^T · grad_pre
+  // (W read transposed in place; one ascending-oc FMA chain per patch
   // element), then Col2Im scatter-accumulates the column matrix back into
-  // image geometry in a fixed order. Per-sample results never depend on the
-  // batch, and threading (below) partitions only over samples, so gradients
-  // are bit-identical across batch widths, SIMD backends, and thread counts.
-  const int64_t patch_k = static_cast<int64_t>(g.in_channels) * g.kernel_h * g.kernel_w;
-  const int64_t patch_n = static_cast<int64_t>(g.out_h) * g.out_w;
-  float* wt = ws->AcquireFlat(patch_k * g.out_channels)->data();
-  TransposeMatrix(weight_.data(), g.out_channels, static_cast<int>(patch_k), wt);
+  // image geometry in a fixed order, in whole vectors through a padded arena
+  // buffer. Per-sample results never depend on the batch, and threading
+  // (below) partitions only over samples, so gradients are bit-identical
+  // across batch widths, SIMD backends, and thread counts.
+  const int64_t patch_k = g.patch_k();
+  const int64_t patch_n = g.patch_n();
+  const int64_t scratch_size = ConvScratchSize(g);
   float* gcol = ws->AcquireFlat(patch_k * patch_n * batch)->data();
+  float* scratch = ws->AcquireFlat(scratch_size * batch)->data();
   const auto run_sample = [&](int64_t b) {
     float* gcol_b = gcol + static_cast<size_t>(b) * patch_k * patch_n;
-    GemmBias(static_cast<int>(patch_k), static_cast<int>(patch_n), g.out_channels, wt,
-             g.out_channels, grad_pre->data() + static_cast<size_t>(b) * g.out_size(),
-             static_cast<int>(patch_n), /*bias=*/nullptr, gcol_b,
-             static_cast<int>(patch_n));
+    GemmTransABias(static_cast<int>(patch_k), static_cast<int>(patch_n), g.out_channels,
+                   weight_.data(), static_cast<int>(patch_k),
+                   grad_pre->data() + static_cast<size_t>(b) * g.out_size(),
+                   static_cast<int>(patch_n), /*bias=*/nullptr, gcol_b,
+                   static_cast<int>(patch_n));
     Col2Im(gcol_b, g.in_channels, g.in_h, g.in_w, g.kernel_h, g.kernel_w, g.stride,
            g.padding, g.out_h, g.out_w,
-           grad_input->data() + static_cast<size_t>(b) * g.in_size());
+           grad_input->data() + static_cast<size_t>(b) * g.in_size(),
+           scratch + b * scratch_size);
   };
-  const int64_t work_per_sample = static_cast<int64_t>(g.out_channels) * patch_k * patch_n;
-  if (batch > 1 && work_per_sample * batch >= (int64_t{1} << 20) &&
+  if (batch > 1 && g.out_size() * patch_k * batch >= (int64_t{1} << 20) &&
       IntraOpParallelismAvailable()) {
-    // Samples write disjoint grad_input regions; nested GemmBias calls see
+    // Samples write disjoint grad_input regions; nested kernel calls see
     // InParallelRegion() and stay serial, exactly like the forward path.
     ParallelFor(batch, run_sample);
   } else {

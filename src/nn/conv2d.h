@@ -51,6 +51,8 @@ class Conv2D : public Layer {
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
+  int kernel_h() const { return kernel_h_; }
+  int kernel_w() const { return kernel_w_; }
   int stride() const { return stride_; }
   int padding() const { return padding_; }
   Tensor& weight() { return weight_; }

@@ -218,7 +218,10 @@ void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
   if (input.numel() != static_cast<int64_t>(batch) * in_features_) {
     throw std::invalid_argument("Dense::ForwardBatchInto: bad input size");
   }
-  // GEMM path (shared with Conv2D's im2col): C[o, b] = bias[o] +
+  if (ws == nullptr) {
+    throw std::invalid_argument("Dense::ForwardBatchInto: workspace required");
+  }
+  // GEMM path (the kernel layer Conv2D shares): C[o, b] = bias[o] +
   // Σ_i W[o, i]·xt[i, b], an ascending-i FMA chain per element, so results
   // are invariant to batch width, SIMD width, and thread count. They differ
   // from the by-value oracle (double accumulation) only within tolerance.
@@ -226,13 +229,6 @@ void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
     // [in, 1] needs no transpose and C == the output row directly.
     GemmBias(out_features_, 1, in_features_, weight_.data(), in_features_,
              input.data(), 1, bias_.data(), output->data(), 1);
-  } else if (ws == nullptr) {
-    // No arena for the transpose scratch (out-of-tree caller): scalar path.
-    for (int b = 0; b < batch; ++b) {
-      DenseForwardSample(input.data() + static_cast<size_t>(b) * in_features_,
-                         output->data() + static_cast<size_t>(b) * out_features_,
-                         weight_.data(), bias_.data(), in_features_, out_features_);
-    }
   } else {
     // Transpose x to [in, batch] for contiguous column loads, GEMM into
     // [out, batch] scratch, transpose back into the [batch, out] output.

@@ -12,7 +12,8 @@
 //     batched and per-sample final input-gradient buffers,
 //   * per-layer seed buffers for objective gradients, and
 //   * a Workspace arena (src/tensor/workspace.h) for layer-kernel scratch
-//     (dense transpose, im2col columns, activation-grad intermediates).
+//     (dense transpose, conv padded images and gradient columns,
+//     activation-grad intermediates).
 //
 // After the plan has executed once at a given width ("warm-up"), every
 // subsequent ForwardBatch / BackwardSample / SampleTrace call performs ZERO
@@ -26,8 +27,9 @@
 // path).
 //
 // Numerics: the plan runs the Layer::*Into kernels, whose hot paths (Dense,
-// Conv2D) use im2col/GEMM + SIMD (src/nn/gemm.h, src/tensor/simd.h) in BOTH
-// directions — the backward runs grad-input as a transposed-weight GEMM
+// Conv2D) use GEMM + SIMD (src/nn/gemm.h, src/tensor/simd.h) in BOTH
+// directions — the conv forward is an implicit GEMM over a zero-padded copy
+// of each image, the backward runs grad-input as a transposed-weight GEMM
 // (conv scatters the column gradient back through Col2Im) and grad-weight as
 // a GEMM against the im2col patch matrix. Plan results therefore match the
 // by-value scalar oracle within the kernel ULP/abs tolerances of

@@ -78,13 +78,14 @@ class Layer {
   // (src/nn/execution_plan.h), whose slabs are reused across gradient-ascent
   // iterations. Contract:
   //   * Numerics: the by-value API is the scalar reference oracle. BOTH
-  //     directions of the hot layers (Dense, Conv2D) run the im2col/GEMM +
-  //     SIMD path (src/nn/gemm.h, src/tensor/simd.h), which accumulates in a
-  //     different order than the oracle — forward results match within the
+  //     directions of the hot layers (Dense, Conv2D) run the GEMM + SIMD
+  //     kernels (src/nn/gemm.h, src/tensor/simd.h), which accumulate in a
+  //     different order than the oracle — forward results (dense GEMM, conv
+  //     implicit GEMM over a padded copy of the image) match within the
   //     kernel forward tolerance of tests/test_util.h and backward results
-  //     (grad-input via transposed-weight GEMM + Col2Im, grad-weight via
-  //     GEMM-against-im2col) within the kernel backward tolerance, not
-  //     bit-for-bit. They ARE bit-identical across SIMD backends, batch
+  //     (grad-input via transposed-weight GEMM, plus Col2Im for conv;
+  //     grad-weight via GEMM-against-im2col) within the kernel backward
+  //     tolerance, not bit-for-bit. They ARE bit-identical across SIMD backends, batch
   //     widths, and thread counts (ascending-k FMA per output element at
   //     every width; threading partitions only over independent output rows
   //     / samples). All other layers' kernels remain bit-identical to the

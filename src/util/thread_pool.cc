@@ -106,8 +106,13 @@ void ThreadPool::RunChunk(ChunkTask* task) {
       ctx->first_error = std::current_exception();
     }
   }
+  // Decrement under done_mutex: ParallelFor reads `remaining` under the same
+  // mutex before it destroys ctx, so the last chunk's unlock is its final
+  // touch of ctx. Decrementing before taking the lock let the caller see 0,
+  // return and free ctx while this thread was still about to lock and
+  // notify it.
+  std::lock_guard<std::mutex> done_lock(ctx->done_mutex);
   if (ctx->remaining.fetch_sub(1) == 1) {
-    std::lock_guard<std::mutex> done_lock(ctx->done_mutex);
     ctx->done_cv.notify_all();
   }
 }

@@ -128,6 +128,19 @@ Model MakeResidualModel() {
   return m;
 }
 
+// Strided twin: a stride-2 5x5 conv and a stride-3 1x9 conv, so the convs'
+// padded phase-split scratch (forward and Col2Im) runs on the hot path.
+Model MakeStridedModel() {
+  Model m("strided_twin", {1, 13, 31});
+  Rng rng(4444);
+  m.Emplace<Conv2D>(1, 3, 5, 5, 2, 0, Activation::kRelu).InitParams(rng);  // 3x5x14
+  m.Emplace<Conv2D>(3, 4, 1, 9, 3, 0, Activation::kRelu).InitParams(rng);  // 4x2x2
+  m.Emplace<Flatten>();
+  m.Emplace<Dense>(4 * 2 * 2, 4, Activation::kNone).InitParams(rng);
+  m.Emplace<SoftmaxLayer>();
+  return m;
+}
+
 std::vector<Tensor> MakeSeeds(const Model& model, int n) {
   Rng rng(99);
   std::vector<Tensor> seeds;
@@ -169,7 +182,7 @@ TaskSetup MakeSetup(const std::vector<Tensor>& seeds, const std::vector<Model*>&
 }
 
 TEST(AllocTest, ExecutorSteadyStateIsAllocationFree) {
-  for (Model (*make_model)() : {&MakeModel, &MakeResidualModel}) {
+  for (Model (*make_model)() : {&MakeModel, &MakeResidualModel, &MakeStridedModel}) {
     Model a = make_model();
     Model b = make_model();
     std::vector<Model*> models = {&a, &b};

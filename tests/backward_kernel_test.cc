@@ -1,8 +1,8 @@
 // Randomized property tests for the GEMM backward path (PR: backward at
 // kernel speed) — the gradient mirror of tests/gemm_kernel_test.cc:
 //
-//   1. Dense/Conv2D BackwardBatchInto (transposed-weight GEMM + Col2Im,
-//      GEMM-against-im2col parameter grads) match the by-value scalar oracle
+//   1. Dense/Conv2D BackwardBatchInto (transposed-weight GEMM, Col2Im for
+//      conv, GEMM-against-im2col parameter grads) match the by-value scalar oracle
 //      within the kernel backward tolerance across random shapes at batch 1
 //      and 8, with and without parameter gradients.
 //   2. Col2Im is the exact adjoint of Im2Col: it matches a naive

@@ -4,8 +4,8 @@
 // across layer types, widths, and width changes (the plan's buffers are
 // reused in place between calls).
 //
-// Since the SIMD/GEMM kernel rewrite the plan path runs conv2d and dense
-// forward through im2col + GemmBias (src/nn/gemm.h), which accumulates in a
+// The plan path runs conv2d and dense forward through the GEMM kernels
+// (src/nn/gemm.h: ConvForward, GemmBias), which accumulate in a
 // different order than the by-value scalar kernels — the reference oracle.
 // Comparisons against the oracle are therefore tolerance-checked (ULP + abs
 // floor, tests/test_util.h); layers without SIMD kernels stay bit-exact.
@@ -294,7 +294,7 @@ TEST(ExecutionPlanTest, AcquireSeedIsZeroed) {
 
 // Per-layer: the *Into kernels must match the by-value kernels — bit for bit
 // for layers without SIMD kernels (tol == kExactTolerance), within ULP/abs
-// tolerance for conv2d/dense/residual, whose Into path runs im2col + GEMM.
+// tolerance for conv2d/dense/residual, whose Into path runs the GEMM kernels.
 void ExpectIntoMatchesByValue(const Layer& layer, const Shape& in_shape, int batch,
                               uint64_t seed,
                               const FloatTolerance& fwd_tol = kExactTolerance,
