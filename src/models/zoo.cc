@@ -4,6 +4,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "src/constraints/image_constraints.h"
@@ -26,6 +27,7 @@
 #include "src/util/cache.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace dx {
@@ -420,16 +422,40 @@ Model ModelZoo::Build(const std::string& name, uint64_t seed) {
   return FindModelSpec(name).model->build(seed);
 }
 
-Model ModelZoo::Trained(const std::string& name) {
+std::string ModelZoo::CacheKey(const std::string& name) {
+  const ModelLookup found = FindModelSpec(name);
+  const DomainTraining cfg = EffectiveTraining(*found.domain);
+  return std::string("zoo/") + kZooVersion + "/" + name + "/" +
+         std::to_string(cfg.train_samples) + "/" + std::to_string(cfg.epochs) + "/" +
+         std::to_string(cfg.data_seed);
+}
+
+namespace {
+
+// The cached model under `key`, or nullopt on a miss. A blob that does not
+// deserialize (truncated or corrupted file) is a miss too: the caller
+// retrains and overwrites it instead of failing every load until someone
+// deletes the file.
+std::optional<Model> LoadCached(const std::string& name, const std::string& key) {
+  const std::optional<std::string> blob = FileCache::Global().Get(key);
+  if (!blob) {
+    return std::nullopt;
+  }
+  try {
+    return Model::Deserialize(*blob);
+  } catch (const std::exception& e) {
+    DX_LOG(Warn) << "cached " << name << " is unreadable (" << e.what() << "); retraining";
+    return std::nullopt;
+  }
+}
+
+// Trains `name` from its fixed seeds and stores it under `key`. Everything it
+// touches is per-model or mutex-guarded (the shared datasets), so distinct
+// names may train concurrently; the weights depend only on the name.
+Model TrainAndStore(const std::string& name, const std::string& key) {
   const ModelLookup found = FindModelSpec(name);
   const DomainSpec& spec = *found.domain;
   const DomainTraining cfg = EffectiveTraining(spec);
-  const std::string key = std::string("zoo/") + kZooVersion + "/" + name + "/" +
-                          std::to_string(cfg.train_samples) + "/" +
-                          std::to_string(cfg.epochs) + "/" + std::to_string(cfg.data_seed);
-  if (const auto blob = FileCache::Global().Get(key)) {
-    return Model::Deserialize(*blob);
-  }
   Model model = found.model->build(SeedFor(name));
   TrainConfig train_cfg;
   train_cfg.epochs = cfg.epochs;
@@ -438,19 +464,48 @@ Model ModelZoo::Trained(const std::string& name) {
                                 : cfg.learning_rate;
   train_cfg.seed = SeedFor(name) ^ 0xabcdef;
   Timer timer;
-  Trainer::Fit(&model, TrainSet(spec.key), train_cfg);
+  Trainer::Fit(&model, ModelZoo::TrainSet(spec.key), train_cfg);
   DX_LOG(Info) << "trained " << name << " in " << timer.ElapsedSeconds() << "s, paper-acc "
-               << Trainer::PaperAccuracy(model, TestSet(spec.key));
+               << Trainer::PaperAccuracy(model, ModelZoo::TestSet(spec.key));
   FileCache::Global().Put(key, model.Serialize());
   return model;
 }
 
-std::vector<Model> ModelZoo::TrainedDomain(const std::string& domain_key) {
-  std::vector<Model> models;
-  for (const DomainModelSpec& m : GetDomain(domain_key).models) {
-    models.push_back(Trained(m.name));
+}  // namespace
+
+Model ModelZoo::Trained(const std::string& name) {
+  const std::string key = CacheKey(name);
+  if (std::optional<Model> cached = LoadCached(name, key)) {
+    return std::move(*cached);
   }
-  return models;
+  return TrainAndStore(name, key);
+}
+
+std::vector<Model> ModelZoo::TrainedDomain(const std::string& domain_key) {
+  const std::vector<std::string> names = DomainModelNames(domain_key);
+  std::vector<std::string> keys;
+  std::vector<std::optional<Model>> models(names.size());
+  std::vector<size_t> misses;
+  // Hits load here, on the caller: deserialized on a pool thread, the blobs
+  // would stay in that thread's malloc arena and raise the process's RSS.
+  for (size_t i = 0; i < names.size(); ++i) {
+    keys.push_back(CacheKey(names[i]));
+    models[i] = LoadCached(names[i], keys[i]);
+    if (!models[i]) {
+      misses.push_back(i);
+    }
+  }
+  // The misses are independent trainings; run them side by side.
+  ParallelFor(static_cast<int64_t>(misses.size()), [&](int64_t j) {
+    const size_t i = misses[static_cast<size_t>(j)];
+    models[i] = TrainAndStore(names[i], keys[i]);
+  });
+  std::vector<Model> out;
+  out.reserve(models.size());
+  for (std::optional<Model>& m : models) {
+    out.push_back(std::move(*m));
+  }
+  return out;
 }
 
 std::vector<Model> ModelZoo::TrainedDomain(Domain domain) {

@@ -77,10 +77,19 @@ class ModelZoo {
   // Freshly initialized (untrained) model by zoo name.
   static Model Build(const std::string& name, uint64_t seed);
 
-  // Trained model, from the disk cache when available.
+  // Disk-cache key of a zoo model: architecture version, name and the
+  // domain's effective training configuration.
+  static std::string CacheKey(const std::string& name);
+
+  // Trained model, from the disk cache when available. A cached blob that
+  // fails to deserialize counts as a miss (logged, retrained, overwritten).
+  // Thread-safe for distinct names.
   static Model Trained(const std::string& name);
 
-  // All trained models of a domain.
+  // All trained models of a domain, in domain order. Cache hits load on the
+  // calling thread; the misses train concurrently on the global ThreadPool.
+  // Weights do not depend on the pool size. The first exception of a
+  // training propagates.
   static std::vector<Model> TrainedDomain(const std::string& domain_key);
   static std::vector<Model> TrainedDomain(Domain domain);
 

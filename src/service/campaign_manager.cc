@@ -467,9 +467,10 @@ std::vector<Model> CampaignManager::LoadModels(const std::string& domain_key) {
   std::unique_lock<std::mutex> lock(zoo_mu_);
   auto it = zoo_blobs_.find(domain_key);
   if (it == zoo_blobs_.end()) {
-    // First campaign of this domain: train/load through the zoo's (non
-    // thread-safe) disk cache under the lock, then keep serialized copies
-    // so every later campaign deserializes instead of retraining.
+    // First campaign of this domain: load or train the trio under the lock,
+    // so two campaigns of one domain never train it twice (TrainedDomain
+    // itself trains the cache misses concurrently on the global pool), then
+    // keep serialized copies so every later campaign deserializes instead.
     std::vector<Model> trained = ModelZoo::TrainedDomain(domain_key);
     std::vector<std::string> blobs;
     blobs.reserve(trained.size());

@@ -143,8 +143,8 @@ class CampaignManager {
   bool stopping_ = false;
 
   // Shared trained-model cache: domain key -> serialized model blobs. Models
-  // are move-only, so each campaign deserializes its own copies; ModelZoo's
-  // disk cache is not thread-safe, so training happens under zoo_mu_.
+  // are move-only, so each campaign deserializes its own copies. A domain's
+  // first load or training happens under zoo_mu_, so no trio trains twice.
   std::mutex zoo_mu_;
   std::map<std::string, std::vector<std::string>> zoo_blobs_;
 };

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -55,7 +56,11 @@ void FileCache::Put(const std::string& key, const std::string& blob) const {
     return;
   }
   const std::string final_path = PathFor(key);
-  const std::string tmp_path = final_path + ".tmp." + std::to_string(::getpid());
+  // Unique per call, not just per process: threads storing the same key
+  // concurrently must not interleave into one temp file.
+  static std::atomic<uint64_t> put_counter{0};
+  const std::string tmp_path = final_path + ".tmp." + std::to_string(::getpid()) + "." +
+                               std::to_string(put_counter.fetch_add(1));
   {
     std::ofstream out(tmp_path, std::ios::binary);
     if (!out) {

@@ -27,7 +27,8 @@ class FileCache {
   // Returns the blob for `key` if present.
   std::optional<std::string> Get(const std::string& key) const;
 
-  // Stores `blob` under `key` (atomic rename within the cache dir).
+  // Stores `blob` under `key` (atomic rename within the cache dir). Safe to
+  // call concurrently, also for one key: the last rename wins whole.
   void Put(const std::string& key, const std::string& blob) const;
 
   const std::string& dir() const { return dir_; }

@@ -1,5 +1,8 @@
 #include "src/util/serialize.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "src/tensor/tensor.h"
 
 namespace dx {
@@ -41,56 +44,63 @@ void BinaryWriter::WriteTensor(const Tensor& t) {
   WriteFloats(t.values());
 }
 
-std::string BinaryReader::ReadString() {
-  const uint64_t n = ReadU64();
-  if (n > kMaxReasonableLength) {
-    throw std::runtime_error("BinaryReader: corrupt string length");
+BinaryReader::BinaryReader(std::istream& in)
+    : in_(in), remaining_(std::numeric_limits<uint64_t>::max()) {
+  const std::istream::pos_type pos = in_.tellg();
+  if (pos == std::istream::pos_type(-1)) {
+    return;  // Not seekable (or already failed): the 2^32 cap only.
   }
-  std::string s(n, '\0');
-  in_.read(s.data(), static_cast<std::streamsize>(n));
+  if (in_.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = in_.tellg();
+    if (end != std::istream::pos_type(-1) && end - pos >= 0) {
+      remaining_ = static_cast<uint64_t>(end - pos);
+    }
+  }
+  in_.clear();
+  in_.seekg(pos);
+}
+
+void BinaryReader::ReadBytes(char* dst, uint64_t n, const char* what) {
+  in_.read(dst, static_cast<std::streamsize>(n));
   if (!in_) {
-    throw std::runtime_error("BinaryReader: truncated string");
+    throw std::runtime_error(std::string("BinaryReader: truncated ") + what);
   }
+  remaining_ -= std::min(remaining_, n);
+}
+
+uint64_t BinaryReader::ReadLength(uint64_t width, const char* what) {
+  const uint64_t n = ReadU64();
+  if (n > kMaxReasonableLength || n > remaining_ / width) {
+    throw std::runtime_error(std::string("BinaryReader: corrupt ") + what + " length");
+  }
+  return n;
+}
+
+std::string BinaryReader::ReadString() {
+  const uint64_t n = ReadLength(1, "string");
+  std::string s(n, '\0');
+  ReadBytes(s.data(), n, "string");
   return s;
 }
 
 std::vector<float> BinaryReader::ReadFloats() {
-  const uint64_t n = ReadU64();
-  if (n > kMaxReasonableLength) {
-    throw std::runtime_error("BinaryReader: corrupt float array length");
-  }
+  const uint64_t n = ReadLength(sizeof(float), "float array");
   std::vector<float> v(n);
-  in_.read(reinterpret_cast<char*>(v.data()),
-           static_cast<std::streamsize>(n * sizeof(float)));
-  if (!in_) {
-    throw std::runtime_error("BinaryReader: truncated float array");
-  }
+  ReadBytes(reinterpret_cast<char*>(v.data()), n * sizeof(float), "float array");
   return v;
 }
 
 std::vector<int> BinaryReader::ReadInts() {
-  const uint64_t n = ReadU64();
-  if (n > kMaxReasonableLength) {
-    throw std::runtime_error("BinaryReader: corrupt int array length");
-  }
+  const uint64_t n = ReadLength(sizeof(int), "int array");
   std::vector<int> v(n);
-  in_.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(int)));
-  if (!in_) {
-    throw std::runtime_error("BinaryReader: truncated int array");
-  }
+  ReadBytes(reinterpret_cast<char*>(v.data()), n * sizeof(int), "int array");
   return v;
 }
 
 std::vector<bool> BinaryReader::ReadBools() {
-  const uint64_t n = ReadU64();
-  if (n > kMaxReasonableLength) {
-    throw std::runtime_error("BinaryReader: corrupt bool array length");
-  }
+  const uint64_t n = ReadLength(1, "bool array");
   std::string bytes(n, '\0');
-  in_.read(bytes.data(), static_cast<std::streamsize>(n));
-  if (!in_) {
-    throw std::runtime_error("BinaryReader: truncated bool array");
-  }
+  ReadBytes(bytes.data(), n, "bool array");
   std::vector<bool> v(n);
   for (uint64_t i = 0; i < n; ++i) {
     v[i] = bytes[i] != 0;

@@ -42,9 +42,13 @@ class BinaryWriter {
   std::ostream& out_;
 };
 
+// Every length prefix is checked against the bytes left in the stream before
+// anything is allocated, so a corrupted length fails fast instead of asking
+// for gigabytes. The stream's size is taken once, at construction; a stream
+// that cannot seek is capped at 2^32 elements only.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& in) : in_(in) {}
+  explicit BinaryReader(std::istream& in);
 
   uint32_t ReadU32() { return ReadPod<uint32_t>(); }
   uint64_t ReadU64() { return ReadPod<uint64_t>(); }
@@ -61,13 +65,16 @@ class BinaryReader {
   template <typename T>
   T ReadPod() {
     T v{};
-    in_.read(reinterpret_cast<char*>(&v), sizeof(T));
-    if (!in_) {
-      throw std::runtime_error("BinaryReader: truncated stream");
-    }
+    ReadBytes(reinterpret_cast<char*>(&v), sizeof(T), "stream");
     return v;
   }
+  // Reads a length prefix; throws unless that many `width`-byte elements fit
+  // in the rest of the stream.
+  uint64_t ReadLength(uint64_t width, const char* what);
+  void ReadBytes(char* dst, uint64_t n, const char* what);
+
   std::istream& in_;
+  uint64_t remaining_;  // Bytes left to read (UINT64_MAX when unknown).
 };
 
 }  // namespace dx

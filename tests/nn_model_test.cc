@@ -223,6 +223,40 @@ TEST(ModelTest, DeserializeRejectsGarbage) {
   EXPECT_THROW(Model::Deserialize("not a model"), std::runtime_error);
 }
 
+// A model blob whose first float-array length prefix (Dense(7, 11)'s 77
+// weights, the only u64 77 in the blob) is overwritten with `length`.
+std::string BlobWithWeightLength(uint64_t length) {
+  Rng rng(16);
+  Model m("inflate", {7});
+  m.Emplace<Dense>(7, 11).InitParams(rng);
+  std::string blob = m.Serialize();
+  const uint64_t original = 77;
+  const size_t at = blob.find(std::string(reinterpret_cast<const char*>(&original), 8));
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) {
+    blob.replace(at, 8, reinterpret_cast<const char*>(&length), 8);
+  }
+  return blob;
+}
+
+TEST(ModelTest, DeserializeRejectsInflatedArrayLength) {
+  // One float past the end of the blob is already a corrupt length, caught
+  // before the read rather than as a truncated array after it.
+  const std::string blob = BlobWithWeightLength(77);
+  EXPECT_NO_THROW(Model::Deserialize(blob));
+  const uint64_t past_end = blob.size() / sizeof(float) + 1;
+  try {
+    Model::Deserialize(BlobWithWeightLength(past_end));
+    ADD_FAILURE() << "inflated length accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupt float array length"), std::string::npos)
+        << e.what();
+  }
+  // A flipped high byte asks for gigabytes; it must fail without allocating.
+  EXPECT_THROW(Model::Deserialize(BlobWithWeightLength(77 | (1ULL << 31))),
+               std::runtime_error);
+}
+
 TEST(ModelTest, DropoutTraceBackwardIsConsistent) {
   // A training-mode trace must reuse its dropout mask during backward.
   Rng rng(14);

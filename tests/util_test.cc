@@ -364,6 +364,37 @@ TEST(SerializeTest, ThrowsOnTruncation) {
   EXPECT_THROW(r.ReadU64(), std::runtime_error);
 }
 
+TEST(SerializeTest, LengthPrefixesAreCappedByRemainingBytes) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  w.WriteString("abc");
+  const std::string good = out.str();
+  // Each inflated length is under the 2^32-element cap but longer than the
+  // bytes that follow it.
+  auto with_length = [&](uint64_t n) {
+    std::string bytes = good;
+    bytes.replace(0, sizeof(n), reinterpret_cast<const char*>(&n), sizeof(n));
+    return bytes;
+  };
+  for (const uint64_t n : {uint64_t{4}, uint64_t{1} << 31}) {
+    std::istringstream in(with_length(n), std::ios::binary);
+    BinaryReader r(in);
+    try {
+      r.ReadString();
+      ADD_FAILURE() << "length " << n << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt string length"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The cap counts from the reader's position, not the stream's start.
+  std::istringstream in(std::string(5, 'x') + good, std::ios::binary);
+  in.ignore(5);
+  BinaryReader r(in);
+  EXPECT_EQ(r.ReadString(), "abc");
+  EXPECT_THROW(r.ReadU32(), std::runtime_error);
+}
+
 // ---- Cache -------------------------------------------------------------------------------
 
 TEST(CacheTest, PutGetRoundTrip) {
@@ -385,6 +416,35 @@ TEST(CacheTest, DistinctKeysDistinctEntries) {
   cache.Put("b", "2");
   EXPECT_EQ(*cache.Get("a"), "1");
   EXPECT_EQ(*cache.Get("b"), "2");
+}
+
+TEST(CacheTest, ConcurrentPutsOfOneKeyLeaveOneWholeBlob) {
+  const std::string dir = ::testing::TempDir() + "/dx_cache_test_concurrent";
+  std::filesystem::remove_all(dir);
+  FileCache cache(dir);
+  // Distinct lengths: through one shared temp file, a short blob written
+  // over a longer one leaves the longer one's tail behind it.
+  std::vector<std::string> blobs;
+  for (int t = 0; t < 4; ++t) {
+    blobs.push_back(std::string(static_cast<size_t>(t + 1) << 16, static_cast<char>('a' + t)));
+  }
+  for (int round = 0; round < 32; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] { cache.Put("shared", blobs[static_cast<size_t>(t)]); });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    const auto got = cache.Get("shared");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_NE(std::find(blobs.begin(), blobs.end(), *got), blobs.end())
+        << "round " << round << ": stored blob is not one of the written ones";
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << "left behind: " << entry.path();
+  }
 }
 
 TEST(CacheTest, Fnv1aStable) {

@@ -9,8 +9,8 @@
 #
 #   mode "tsan": build with ThreadSanitizer and run the multi-worker /
 #   corpus test subset — the tests whose Sessions run parallel workers over
-#   shared coverage trackers, which is exactly the surface a data race
-#   would corrupt.
+#   shared coverage trackers, plus the zoo's concurrent trio training, which
+#   is exactly the surface a data race would corrupt.
 #
 #   mode "release": build all three benches with CMAKE_BUILD_TYPE=Release,
 #   run each once as a smoke test (the plan bench's inline tolerance checks
@@ -323,9 +323,10 @@ if ctest --help | grep -q -- --output-junit; then
   CTEST_ARGS+=(--output-junit ctest-junit.xml)
 fi
 if [ "$MODE" = "tsan" ]; then
-  # Multi-worker Sessions + corpus resume are the race-prone surface; the
-  # rest of the suite is single-threaded and would only slow TSan down.
-  CTEST_ARGS+=(-R 'session_test|batch_exec_test|corpus_test|corpus_maintenance_test|util_test')
+  # Multi-worker Sessions, corpus resume and the zoo's concurrent training
+  # are the race-prone surface; the rest of the suite is single-threaded and
+  # would only slow TSan down.
+  CTEST_ARGS+=(-R 'session_test|batch_exec_test|corpus_test|corpus_maintenance_test|util_test|zoo_parallel_test')
 fi
 
 echo "==> ctest"
